@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ArtifactError, DomainError, ShapeError
 
 # Probability floor applied before logarithms (log of anything smaller is a
 # domain violation unless clamping is requested).
@@ -94,19 +94,21 @@ class ParameterStore:
     def load(cls, manifest_path: str, blob_path: str) -> "ParameterStore":
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        blob = open(blob_path, "rb").read()
-        store = cls()
-        for entry in manifest:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = entry["offset"]
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-            store.add(entry["name"], arr.reshape(shape).astype(np.float64))
-        expected = sum(int(np.prod(e["shape"] or [1])) for e in manifest) * 8
+        with open(blob_path, "rb") as fh:
+            blob = fh.read()
+        counts = [int(np.prod(entry["shape"])) for entry in manifest]
+        expected = sum(counts) * 8
         if len(blob) != expected:
-            raise ShapeError(
-                f"parameter blob is {len(blob)} bytes, manifest expects {expected}"
+            raise ArtifactError(
+                f"parameter blob {blob_path} is {len(blob)} bytes, manifest expects {expected}"
             )
+        store = cls()
+        for entry, count in zip(manifest, counts):
+            start = entry["offset"]
+            if not 0 <= start <= len(blob) - 8 * count:
+                raise ArtifactError(f"parameter {entry['name']!r} lies outside the blob")
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+            store.add(entry["name"], arr.reshape(tuple(entry["shape"])).astype(np.float64))
         return store
 
     def digest(self) -> str:

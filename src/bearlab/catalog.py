@@ -104,6 +104,15 @@ class PrefixTrie:
     def __init__(self):
         self._root = _TrieNode()
         self._n_items = 0
+        self._max_item_length = 0
+        self._internal_prefixes = None
+
+    @classmethod
+    def from_items(cls, items) -> "PrefixTrie":
+        trie = cls()
+        for item in items:
+            trie._insert(item.token_ids, item.item_id)
+        return trie
 
     def _insert(self, token_ids, item_id: int) -> None:
         node = self._root
@@ -115,6 +124,8 @@ class PrefixTrie:
             )
         node.item_id = item_id
         self._n_items += 1
+        self._max_item_length = max(self._max_item_length, len(token_ids))
+        self._internal_prefixes = None
 
     def _node_at(self, prefix) -> _TrieNode:
         node = self._root
@@ -149,14 +160,20 @@ class PrefixTrie:
         return self._n_items
 
     def max_item_length(self) -> int:
-        best = 0
-        stack = [(self._root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.item_id is not None:
-                best = max(best, depth)
-            stack.extend((c, depth + 1) for c in node.children.values())
-        return best
+        return self._max_item_length
+
+    def internal_prefixes(self) -> list[list[tuple]]:
+        """Prefixes of the nodes that have children, one list per depth,
+        the root's empty prefix first (computed once, then shared)."""
+        if self._internal_prefixes is None:
+            levels = []
+            frontier = [((), self._root)]
+            while frontier:
+                levels.append([prefix for prefix, _ in frontier])
+                frontier = [(prefix + (tok,), child) for prefix, node in frontier
+                            for tok, child in node.children.items() if child.children]
+            self._internal_prefixes = levels
+        return self._internal_prefixes
 
     def all_paths(self) -> list[tuple[tuple, int]]:
         """Every root-to-terminal path with its item id (catalog reconstruction)."""
@@ -212,13 +229,11 @@ def build_catalog(titles, tokenization: str = "character"):
 
     content = sorted({tok for parts in token_lists for tok in parts})
     vocab = Vocabulary(content)
-    trie = PrefixTrie()
     items = []
     for i, (title, parts) in enumerate(zip(titles, token_lists)):
         ids = tuple(vocab.id_of(p) for p in parts) + (EOS_ID,)
         items.append(Item(item_id=i, title=title, token_ids=ids))
-        trie._insert(ids, i)
-    return vocab, items, trie
+    return vocab, items, PrefixTrie.from_items(items)
 
 
 # ---------------------------------------------------------------------------

@@ -110,45 +110,53 @@ class BeamTrace:
             fh.write("\n")
 
 
-class _ExactScorer:
-    """One canonical forward per distinct context, memoized. An external
-    cache dict may be supplied to share work across calls (the values are
-    identical either way)."""
+SCORERS = ("exact", "batched")
 
-    def __init__(self, model, cache: dict | None = None):
+
+class PrefixScores:
+    """Next-token distributions after one prompt, memoized by generated
+    prefix and computed with the model's `prefill`/`extend` scorer.
+
+    `distributions` scores every prefix it has not seen in one `extend`.
+    Every row is bit-identical to `model.next_token_distribution` of the
+    prompt plus the prefix.
+    """
+
+    def __init__(self, model, prompt):
+        self.prompt = tuple(int(t) for t in prompt)
         self._model = model
-        self._cache: dict[tuple, np.ndarray] = {} if cache is None else cache
+        self._state, root = model.prefill(self.prompt)
+        self._nodes = {(): (0, root)}   # prefix -> (scorer node id, distribution)
 
-    def distributions(self, contexts: list[tuple]) -> list[np.ndarray]:
-        out = []
-        for ctx in contexts:
-            dist = self._cache.get(ctx)
-            if dist is None:
-                dist = self._model.next_token_distribution(ctx)
-                self._cache[ctx] = dist
-            out.append(dist)
-        return out
+    def distributions(self, prefixes) -> list[np.ndarray]:
+        """Distributions after each prefix. The ones not scored yet must
+        share one length and have scored parents."""
+        missing = [p for p in dict.fromkeys(prefixes) if p not in self._nodes]
+        if missing:
+            ids, dists = self._model.extend(self._state,
+                                            [self._nodes[p[:-1]][0] for p in missing],
+                                            [p[-1] for p in missing])
+            for prefix, node, dist in zip(missing, ids, dists):
+                self._nodes[prefix] = (node, dist)
+        return [self._nodes[p][1] for p in prefixes]
+
+    def log_prob(self, tokens) -> float:
+        """Floored step log probabilities of `tokens` summed left to right:
+        the floats beam search accumulates for the same path."""
+        total = 0.0
+        for t, tok in enumerate(tokens):
+            dist = self._nodes[tuple(tokens[:t])][1]
+            total += math.log(max(float(dist[tok]), PROB_FLOOR))
+        return total
 
 
-class _BatchedScorer:
-    """One batched forward per step; ~1e-12 from the canonical path, used
-    where that tolerance is acceptable (training-time simulation)."""
-
-    def __init__(self, model):
-        self._model = model
-
-    def distributions(self, contexts: list[tuple]) -> list[np.ndarray]:
-        if hasattr(self._model, "step_distributions"):
-            return list(self._model.step_distributions([list(c) for c in contexts]))
-        return [self._model.next_token_distribution(c) for c in contexts]
-
-
-def _make_scorer(model, scorer, cache=None):
-    if scorer == "exact" or scorer is None:
-        return _ExactScorer(model, cache)
-    if scorer == "batched":
-        return _BatchedScorer(model)
-    raise ValidationError(f"unknown scorer {scorer!r}")
+def score_table(model, prompt, trie: PrefixTrie) -> PrefixScores:
+    """Distributions at every internal node of `trie` after `prompt`, one
+    `extend` per depth, for beam search and the oracle to share."""
+    table = PrefixScores(model, prompt)
+    for level in trie.internal_prefixes()[1:]:
+        table.distributions(level)
+    return table
 
 
 def _cmp_score(log_prob: float, n_tokens: int, normalized: bool) -> float:
@@ -157,13 +165,17 @@ def _cmp_score(log_prob: float, n_tokens: int, normalized: bool) -> float:
 
 def beam_search(model, prompt, trie: PrefixTrie, config: DecodeConfig,
                 scorer: str = "exact",
-                cache: dict | None = None) -> tuple[list[Hypothesis], BeamTrace]:
+                table: PrefixScores | None = None) -> tuple[list[Hypothesis], BeamTrace]:
     """Beam search over the trie from `prompt`.
 
     Returns the finished hypotheses ranked by raw overall log probability
-    (ties by item id) and the full per-step trace. `cache` optionally shares
-    the exact scorer's per-context memo with other scoring calls.
+    (ties by item id) and the full per-step trace. Each step scores its open
+    beams with one `extend`, unless `table` (a `score_table` for this prompt)
+    already holds them. Both `scorer` values name that one scorer; the
+    argument is kept for callers that pass it.
     """
+    if scorer not in SCORERS:
+        raise ValidationError(f"unknown scorer {scorer!r}")
     if trie.n_items() < 1:
         raise ValidationError("trie has no items")
     b = config.beam_width
@@ -175,7 +187,10 @@ def beam_search(model, prompt, trie: PrefixTrie, config: DecodeConfig,
             f"(needs >= {min_steps})"
         )
     prompt = tuple(int(t) for t in prompt)
-    engine = _make_scorer(model, scorer, cache)
+    if table is None:
+        table = PrefixScores(model, prompt)
+    elif table.prompt != prompt:
+        raise ValidationError("score table belongs to a different prompt")
 
     trace = BeamTrace(prompt=prompt, beam_width=b, constrained=config.constrained,
                       length_normalization=config.length_normalization)
@@ -185,7 +200,7 @@ def beam_search(model, prompt, trie: PrefixTrie, config: DecodeConfig,
         if all(h.finished for h in beams):
             break
         open_parents = [(i, h) for i, h in enumerate(beams) if not h.finished]
-        dists = engine.distributions([prompt + h.tokens for _, h in open_parents])
+        dists = table.distributions([h.tokens for _, h in open_parents])
         dist_of_parent = {i: d for (i, _), d in zip(open_parents, dists)}
 
         expansions: list[Expansion] = []
@@ -277,15 +292,16 @@ def _raw_log(pool_entry) -> float:
     return payload.log_score if pool_entry[3] == "expansion" else payload.log_prob
 
 
-def exhaustive_rank(model, prompt, items, cache: dict | None = None) -> list[tuple[int, float]]:
+def exhaustive_rank(model, prompt, items,
+                    table: PrefixScores | None = None) -> list[tuple[int, float]]:
     """Score every catalog item's full sequence; sort by score descending,
-    ties by item id. Shares one distribution cache across items, so shared
-    prefixes are evaluated once."""
-    if cache is None:
-        cache = {}
-    prompt = tuple(int(t) for t in prompt)
-    scored = [(item.item_id, model.sequence_log_prob(prompt, item.token_ids, cache))
-              for item in items]
+    ties by item id. `table` may pass in this prompt's `score_table`;
+    without one, a table over the items' own trie is built."""
+    if table is None:
+        table = score_table(model, prompt, PrefixTrie.from_items(items))
+    elif table.prompt != tuple(int(t) for t in prompt):
+        raise ValidationError("score table belongs to a different prompt")
+    scored = [(item.item_id, table.log_prob(item.token_ids)) for item in items]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored
 

@@ -26,6 +26,11 @@ class ContextLengthError(ValidationError):
     """Token context exceeds the model's maximum context length."""
 
 
+class ArtifactError(BearlabError):
+    """A saved artifact is damaged or incomplete (a runtime failure, not a
+    caller-fixable input)."""
+
+
 class DivergenceError(BearlabError):
     """Training produced a non-finite loss."""
 

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +21,8 @@ from . import autodiff as ad
 from . import data as datamod
 from .autodiff import ParameterStore
 from .catalog import PrefixTrie, Vocabulary, build_catalog, load_catalog_csv
-from .decode import DecodeConfig, beam_search, classify_positive, exhaustive_rank
+from .decode import (DecodeConfig, beam_search, classify_positive, exhaustive_rank,
+                     score_table)
 from .errors import DivergenceError, ValidationError
 from .metrics import (EvalResult, ExperimentReport, aggregate_report,
                       dump_report_csv)
@@ -442,12 +442,12 @@ def train(config: ExperimentConfig, bundle: DatasetBundle, seed: int,
 
 
 def _eval_one(model, bundle, decode_config, digest, inst) -> EvalResult:
-    # one per-context memo shared by the beam and the oracle; constrained
-    # beam contexts are a subset of the trie paths the oracle scores anyway
-    cache: dict = {}
+    # one score table shared by the beam and the oracle; constrained beam
+    # prefixes are a subset of the trie nodes the oracle scores anyway
+    table = score_table(model, inst.prompt, bundle.trie)
     finals, trace = beam_search(model, inst.prompt, bundle.trie, decode_config,
-                                cache=cache)
-    ranking = exhaustive_rank(model, inst.prompt, bundle.items, cache)
+                                table=table)
+    ranking = exhaustive_rank(model, inst.prompt, bundle.items, table)
     ex_rank = next(i for i, (item_id, _) in enumerate(ranking, start=1)
                    if item_id == inst.positive_item)
     beam_rank = None
@@ -465,8 +465,8 @@ def _eval_one(model, bundle, decode_config, digest, inst) -> EvalResult:
 def evaluate(checkpoint: Checkpoint, bundle: DatasetBundle, split: str,
              k_list, decode_config: DecodeConfig, method: str = "") -> ExperimentReport:
     """Per-instance beam search + exhaustive oracle + cause classification,
-    aggregated. Fans out across BEARLAB_THREADS workers (default: all cores)
-    over a read-only model snapshot."""
+    aggregated in instance order. Instances run one at a time, so only one
+    score table is alive at once."""
     if checkpoint.vocab_digest != bundle.vocab.digest():
         raise ValidationError("checkpoint vocabulary digest does not match the catalog")
     instances = bundle.split(split)
@@ -475,15 +475,8 @@ def evaluate(checkpoint: Checkpoint, bundle: DatasetBundle, split: str,
     model = checkpoint.model()
     digest = model.digest()
     t0 = time.perf_counter()
-    workers = int(os.environ.get("BEARLAB_THREADS", os.cpu_count() or 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda inst: _eval_one(model, bundle, decode_config, digest, inst),
-                instances))
-    else:
-        results = [_eval_one(model, bundle, decode_config, digest, inst)
-                   for inst in instances]
+    results = [_eval_one(model, bundle, decode_config, digest, inst)
+               for inst in instances]
     report = aggregate_report(results, k_list, method=method or checkpoint.objective,
                               seed=checkpoint.seed,
                               config_digest=checkpoint.config_digest)

@@ -4,8 +4,15 @@ Two forward paths compute the same arithmetic:
 
 * a tape path (`forward_rows`, `batch_forward`) used for training, batched
   over padded instances, differentiable;
-* a plain-numpy path (`next_token_distribution`, `step_distributions`) used
-  for decoding and scoring on a read-only parameter snapshot.
+* a plain-numpy scorer (`prefill`, `extend`) used for decoding on a
+  read-only parameter snapshot. With one attention block, `prefill`
+  computes a prompt's K/V rows once and `extend` adds one K/V row and one
+  query per new prefix, scoring a whole batch of prefixes (a trie depth, or
+  a beam step) in one call; other models run a full forward per context.
+
+`next_token_distribution` is `prefill` on the whole context, so every row the
+scorer returns is bit-identical to it: the per-row kernels make one BLAS call
+per row whatever the batch size. The tape path agrees with it to ~1e-12.
 
 The canonical definition of a sequence's log probability is the incremental
 one: the sum over steps of the floored log of `next_token_distribution` at
@@ -31,6 +38,10 @@ BLOCK_KINDS = ("causal-attention", "gated-recurrent")
 # exactly 0.0, so masked positions get weight 0 while everything stays finite.
 MASK_VALUE = -1e9
 
+# Contexts per K/V gather in `extend`. It bounds the transient (block, T, d)
+# copies; the rows returned do not depend on it.
+ATTEND_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -53,6 +64,24 @@ class ModelConfig:
             raise ValidationError("blocks must be >= 1")
         if self.max_context < 2:
             raise ValidationError("max_context must be >= 2")
+
+
+@dataclass
+class PrefixState:
+    """Continuations of one prompt scored so far by `SequenceModel.extend`.
+
+    Node 0 is the prompt; node j > 0 was added with token `tokens[j]`, and
+    `chains[j]` lists the nodes from depth 1 down to j, so its context is the
+    prompt followed by `tokens[chains[j]]`. With one attention block, `keys`
+    and `values` hold one row per prompt position and one per added node
+    (node j owns row len(prompt) - 1 + j); other models keep no cache.
+    """
+
+    prompt: np.ndarray
+    tokens: list
+    chains: list
+    keys: np.ndarray | None = None
+    values: np.ndarray | None = None
 
 
 class SequenceModel:
@@ -159,7 +188,7 @@ class SequenceModel:
             out.append(ad.gather_rows(flat, rows))
         return out
 
-    # -- fast (inference) path ----------------------------------------------
+    # -- full-sequence forward (scorer of models without the K/V cache) ------
 
     def _forward_arrays(self, tokens: np.ndarray) -> np.ndarray:
         """Same arithmetic as forward_rows, raw numpy, (N, T) -> (N, T, V)."""
@@ -204,71 +233,133 @@ class SequenceModel:
             steps = outs
         return np.stack(steps, axis=1)
 
-    def _forward_last(self, tokens: np.ndarray) -> np.ndarray:
-        """Next-token distributions for the final position only, (N, T) ->
-        (N, V). With a single attention block the last position attends to
-        the whole context, so no mask is needed and queries are computed for
-        one row instead of T; other configurations fall back to full rows."""
-        cfg = self.config
-        if cfg.block != "causal-attention" or cfg.blocks > 1:
-            return self._forward_arrays(tokens)[:, -1]
-        n, t = tokens.shape
-        self._check_len(t)
+    # -- cached scorer (decoding) ----------------------------------------------
+
+    @property
+    def _cached(self) -> bool:
+        """One attention block: a context's distribution needs only the K/V
+        rows of its positions and the query of its last one, so K/V rows can
+        be computed once and shared by every continuation."""
+        return self.config.block == "causal-attention" and self.config.blocks == 1
+
+    def prefill(self, prompt) -> tuple["PrefixState", np.ndarray]:
+        """Start scoring continuations of `prompt`: returns its state (the
+        prompt's K/V rows) and the next-token distribution after it."""
+        tokens = np.asarray(prompt, dtype=np.int64)
+        if tokens.ndim != 1 or len(tokens) == 0:
+            raise ValidationError("context must be non-empty (at least BOS)")
+        self._check_len(len(tokens))
+        state = PrefixState(prompt=tokens, tokens=[int(tokens[-1])],
+                            chains=[np.zeros(0, dtype=np.int64)])
+        if not self._cached:
+            return state, self._forward_arrays(tokens[None])[0, -1]
+        x = self._embed(tokens, np.arange(len(tokens)))
+        state.keys, state.values = self._key_value_rows(x)
+        return state, self._attend(x[-1:], state, np.arange(len(tokens))[None])[0]
+
+    def extend(self, state: "PrefixState", parent_ids, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """Append `tokens[i]` to node `parent_ids[i]` for every i in one
+        batched call: each new node gets one K/V row and one query row.
+        Returns the new node ids and their (n, V) next-token distributions.
+        All parents must have contexts of one length."""
+        parents = np.asarray(parent_ids, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if parents.ndim != 1 or len(parents) == 0 or parents.shape != tokens.shape:
+            raise ValidationError("extend needs one token per parent, at least one")
+        if parents.min() < 0 or parents.max() >= len(state.chains):
+            raise ValidationError("extend parent id out of range")
+        if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
+            raise ValidationError("extend token id out of range")
+        if len({len(state.chains[p]) for p in parents}) != 1:
+            raise ValidationError("extend parents must share one context length")
+        n, p = len(parents), len(state.prompt)
+        ids = np.arange(len(state.chains), len(state.chains) + n)
+        chains = np.concatenate([np.stack([state.chains[i] for i in parents]),
+                                 ids[:, None]], axis=1)
+        length = p + chains.shape[1]
+        self._check_len(length)
+        state.tokens.extend(tokens.tolist())
+        state.chains.extend(chains)
+        if not self._cached:
+            contexts = np.concatenate([np.broadcast_to(state.prompt, (n, p)),
+                                       np.asarray(state.tokens)[chains]], axis=1)
+            return ids, np.stack([self._forward_arrays(c[None])[0, -1] for c in contexts])
+        x = self._embed(tokens, np.full(n, length - 1))
+        keys, values = self._key_value_rows(x)
+        state.keys = np.concatenate([state.keys, keys])
+        state.values = np.concatenate([state.values, values])
+        rows = np.concatenate([np.broadcast_to(np.arange(p), (n, p)), chains + (p - 1)],
+                              axis=1)
+        return ids, np.concatenate([self._attend(x[lo:lo + ATTEND_BLOCK], state,
+                                                 rows[lo:lo + ATTEND_BLOCK])
+                                    for lo in range(0, n, ATTEND_BLOCK)])
+
+    def _embed(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        return self.store.value("embed")[tokens] + self.store.value("pos")[positions]
+
+    # The per-row kernels below are stacked matmuls, (n, 1, d) @ (d, d) and the
+    # like: numpy makes one BLAS call per row with the same shapes whatever n
+    # is, so a row's bits never depend on what it was batched with. A plain
+    # (n, d) @ (d, d) would switch between gemv (n = 1) and gemm (n > 1), whose
+    # rows can differ in the last bit.
+
+    def _key_value_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m, d) embedded positions -> their (m, d) K and V rows."""
         g = self.store.value
-        x = g("embed")[tokens] + g("pos")[np.arange(t)]
-        scale = 1.0 / math.sqrt(cfg.embed_dim)
-        q = np.matmul(x[:, -1:, :], g("block0.wq"))
-        k = np.matmul(x, g("block0.wk"))
-        v = np.matmul(x, g("block0.wv"))
-        scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
-        attended = np.matmul(_softmax(scores), v)
-        h = x[:, -1:, :] + np.matmul(attended, g("block0.wo"))
+        rows = x[:, None, :]
+        return (np.matmul(rows, g("block0.wk"))[:, 0],
+                np.matmul(rows, g("block0.wv"))[:, 0])
+
+    def _attend(self, x: np.ndarray, state: "PrefixState", rows: np.ndarray) -> np.ndarray:
+        """Next-token distributions of n contexts from the embedded last
+        position of each, (n, d), and the (n, T) indices of their positions'
+        K/V rows in `state` -> (n, V). Keys and values are gathered one after
+        the other, so that only one (n, T, d) copy is alive at a time."""
+        g = self.store.value
+        x = x[:, None, :]
+        q = np.matmul(x, g("block0.wq"))
+        scores = np.matmul(q, np.swapaxes(state.keys[rows], -1, -2))
+        scores *= 1.0 / math.sqrt(self.config.embed_dim)
+        attended = np.matmul(_softmax(scores), state.values[rows])
+        h = x + np.matmul(attended, g("block0.wo"))
         f1 = np.maximum(0.0, np.matmul(h, g("block0.ff_w1")) + g("block0.ff_b1"))
         out = h + (np.matmul(f1, g("block0.ff_w2")) + g("block0.ff_b2"))
         logits = np.matmul(out, g("out.w")) + g("out.b")
-        return _softmax(logits)[:, -1]
+        return _softmax(logits)[:, 0]
 
     def next_token_distribution(self, context) -> np.ndarray:
-        """Probability vector over the vocabulary after `context` (canonical
-        single-sequence computation; deterministic for fixed parameters)."""
-        if len(context) == 0:
-            raise ValidationError("context must be non-empty (at least BOS)")
-        tokens = np.asarray(context, dtype=np.int64)[None, :]
-        return self._forward_last(tokens)[0]
+        """Probability vector over the vocabulary after `context`: the
+        canonical single-sequence computation, the same kernels as
+        `prefill`/`extend`, so their rows are bit-identical to it."""
+        return self.prefill(context)[1]
 
     def step_distributions(self, contexts) -> np.ndarray:
-        """Batched next-token distributions for same-length contexts,
-        (H, T) -> (H, V). Matches the canonical path to ~1e-12 (different
-        matmul blocking), so use it only where that tolerance is fine."""
+        """Next-token distributions for same-length contexts, (H, T) -> (H, V),
+        each row bit-identical to `next_token_distribution`. Decoding scores
+        trie prefixes with `prefill`/`extend` instead."""
         if not contexts:
             raise ValidationError("step_distributions needs at least one context")
         t = len(contexts[0])
         if any(len(c) != t for c in contexts):
             raise ValidationError("step_distributions contexts must share one length")
-        tokens = np.asarray(contexts, dtype=np.int64)
-        return self._forward_last(tokens)
+        return np.stack([self.next_token_distribution(c) for c in contexts])
 
-    def step_log_probs(self, prompt, target, cache: dict | None = None) -> list[float]:
+    def step_log_probs(self, prompt, target) -> list[float]:
         """Floored per-step log probabilities of `target` after `prompt`."""
         if len(target) == 0 or target[-1] != EOS_ID:
             raise ValidationError("targets must end with a single EOS token")
-        ctx = tuple(prompt)
+        ctx = list(prompt)
         out = []
         for tok in target:
-            if cache is not None and ctx in cache:
-                dist = cache[ctx]
-            else:
-                dist = self.next_token_distribution(ctx)
-                if cache is not None:
-                    cache[ctx] = dist
+            dist = self.next_token_distribution(ctx)
             out.append(math.log(max(float(dist[tok]), PROB_FLOOR)))
-            ctx = ctx + (int(tok),)
+            ctx.append(int(tok))
         return out
 
-    def sequence_log_prob(self, prompt, target, cache: dict | None = None) -> float:
+    def sequence_log_prob(self, prompt, target) -> float:
         """Sum of floored per-step log probabilities (always <= 0)."""
         total = 0.0
-        for lp in self.step_log_probs(prompt, target, cache):
+        for lp in self.step_log_probs(prompt, target):
             total += lp
         return total
 

@@ -238,7 +238,7 @@ def prefix_objective_reference(tape: ad.Tape, model, prompt, target,
                      (len(target),))
 
     if frozen_thresholds is None:
-        finals, trace = beam_search(model, prompt, trie, config, scorer="batched")
+        finals, trace = beam_search(model, prompt, trie, config)
         thresholds = []
         positive_prefix_scores = cum.value
         for s, record in enumerate(trace.steps[: len(target)]):

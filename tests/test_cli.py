@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -114,3 +115,17 @@ def test_evaluate_without_checkpoint_exits_1(tmp_path, capsys):
     assert main(["prepare", "--config", str(config)]) == 0
     assert main(["evaluate", "--config", str(config)]) == 1
     assert "train first" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_2(config_file, tmp_path, capsys):
+    config, out = config_file
+    assert main(["train", "--config", config]) == 0
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    blob = copy / "runs" / "sft-seed0" / "checkpoint" / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:1000])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config, "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert "failure: parameter blob" in err
+    assert "Traceback" not in err

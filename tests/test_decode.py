@@ -11,9 +11,10 @@ from bearlab.decode import (BeamTrace, DecodeConfig, PruningCause, beam_search,
                             classify_positive, exhaustive_rank)
 from bearlab.errors import ValidationError
 from bearlab.model import ModelConfig, SequenceModel
+from per_context import PerContextScorer
 
 
-class TableModel:
+class TableModel(PerContextScorer):
     """Hand-set conditional tables keyed by the generated prefix (the part of
     the context after the prompt)."""
 

@@ -232,18 +232,6 @@ def test_evaluate_rejects_vocab_mismatch(world, tmp_path):
         exp.evaluate(checkpoint, other_bundle, "test", (5,), config.decode)
 
 
-def test_threads_env_does_not_change_results(world, monkeypatch):
-    config, bundle, out = world
-    checkpoint, _ = exp.train(config, bundle, seed=0)
-    monkeypatch.setenv("BEARLAB_THREADS", "1")
-    seq = exp.evaluate(checkpoint, bundle, "test", (5,), config.decode)
-    monkeypatch.setenv("BEARLAB_THREADS", "4")
-    par = exp.evaluate(checkpoint, bundle, "test", (5,), config.decode)
-    a, b = seq.to_json(), par.to_json()
-    a.pop("timing"), b.pop("timing")
-    assert a == b
-
-
 def test_diagnose_user_trace(world):
     config, bundle, out = world
     checkpoint, _ = exp.train(config, bundle, seed=0)

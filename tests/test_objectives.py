@@ -12,6 +12,7 @@ from bearlab.catalog import BOS_ID, EOS_ID
 from bearlab.decode import DecodeConfig
 from bearlab.errors import ValidationError
 from bearlab.model import ModelConfig, SequenceModel
+from per_context import PerContextScorer
 
 LN_POINT_2 = math.log(0.2)            # -1.6094379124341003
 LOG_HALF = math.log(0.5)              # -0.6931471805599453
@@ -396,7 +397,7 @@ def test_flow_mode_margin_gradient_cancels_normalizer():
 # ---------------------------------------------------------------------------
 
 
-class TableModelWithForward:
+class TableModelWithForward(PerContextScorer):
     """Table-driven model that also supports the differentiable batch pass."""
 
     def __init__(self, vocab, tables, prompt_len=1):
