@@ -21,7 +21,7 @@ from .model import ModelConfig, SequenceModel
 from .objectives import (HyperParams, LossBreakdown, bear_loss,
                          beam_aware_regularizer, dpo_style_regularizer,
                          necessary_condition, prefix_objective_reference,
-                         sft_loss, top_b_threshold)
+                         sft_loss)
 
 __version__ = "0.1.0"
 
@@ -38,5 +38,5 @@ __all__ = [
     "ModelConfig", "SequenceModel",
     "HyperParams", "LossBreakdown", "bear_loss", "beam_aware_regularizer",
     "dpo_style_regularizer", "necessary_condition",
-    "prefix_objective_reference", "sft_loss", "top_b_threshold",
+    "prefix_objective_reference", "sft_loss",
 ]

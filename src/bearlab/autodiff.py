@@ -293,11 +293,12 @@ def _broadcast_check(name, a, b):
 def add(a: Node, b: Node) -> Node:
     _broadcast_check("add", a, b)
     value = a.value + b.value
+    a_shape, b_shape = a.value.shape, b.value.shape  # rules hold no Node: no cycle
     return a.tape.emit(
         value,
         [
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(g, b.value.shape)),
+            (a, lambda g: _unbroadcast(g, a_shape)),
+            (b, lambda g: _unbroadcast(g, b_shape)),
         ],
     )
 

@@ -90,117 +90,86 @@ class Item:
     token_ids: tuple  # content token ids followed by exactly one EOS
 
 
-class _TrieNode:
-    __slots__ = ("children", "item_id")
-
-    def __init__(self):
-        self.children: dict[int, _TrieNode] = {}
-        self.item_id: int | None = None
-
-
 class PrefixTrie:
-    """All valid token continuations of the catalog; terminals carry item ids."""
+    """All valid token continuations of the catalog, as arrays. Each item's
+    path ends with an explicit EOS edge into a terminal node.
 
-    def __init__(self):
-        self._root = _TrieNode()
-        self._n_items = 0
-        self._max_item_length = 0
-        self._internal_prefixes = None
+    Nodes are in breadth-first order with children by token id, so node 0 is
+    the root and the nodes of depth d are `levels[d]:levels[d + 1]`.
+    `child[n, tok]` is the child of node n by token tok, -1 where there is
+    none; `parent`, `token` and `depth` describe each node, and `item[n]` is
+    the item id at a terminal, -1 elsewhere.
+    """
+
+    def __init__(self, paths=()):
+        """`paths`: (token ids, item id) of every item."""
+        items: dict[tuple, int] = {}
+        for tokens, item_id in paths:
+            tokens = tuple(int(t) for t in tokens)
+            if tokens in items:
+                raise ValidationError(
+                    f"items {items[tokens]} and {item_id} share an identical token sequence"
+                )
+            items[tokens] = item_id
+        nodes = sorted({path[:d] for path in items for d in range(len(path) + 1)} | {()},
+                       key=lambda prefix: (len(prefix), prefix))
+        self._items = items
+        self._index = {prefix: n for n, prefix in enumerate(nodes)}
+        self.parent = np.array([self._index[p[:-1]] if p else -1 for p in nodes])
+        self.token = np.array([p[-1] if p else -1 for p in nodes])
+        self.depth = np.array([len(p) for p in nodes])
+        self.item = np.array([items.get(p, -1) for p in nodes])
+        self.child = np.full((len(nodes), self.token.max() + 1), -1)
+        self.child[self.parent[1:], self.token[1:]] = np.arange(1, len(nodes))
+        self.levels = np.searchsorted(self.depth, np.arange(self.depth[-1] + 2))
 
     @classmethod
     def from_items(cls, items) -> "PrefixTrie":
-        trie = cls()
-        for item in items:
-            trie._insert(item.token_ids, item.item_id)
-        return trie
+        return cls((item.token_ids, item.item_id) for item in items)
 
-    def _insert(self, token_ids, item_id: int) -> None:
-        node = self._root
-        for tok in token_ids:
-            node = node.children.setdefault(tok, _TrieNode())
-        if node.item_id is not None:
+    def _node_at(self, prefix) -> int:
+        prefix = tuple(prefix)
+        node = self._index.get(prefix)
+        if node is None:
+            depth = next(d for d in range(len(prefix)) if prefix[:d + 1] not in self._index)
             raise ValidationError(
-                f"items {node.item_id} and {item_id} share an identical token sequence"
+                f"prefix {list(prefix)!r} leaves the trie at position {depth}"
             )
-        node.item_id = item_id
-        self._n_items += 1
-        self._max_item_length = max(self._max_item_length, len(token_ids))
-        self._internal_prefixes = None
-
-    def _node_at(self, prefix) -> _TrieNode:
-        node = self._root
-        for depth, tok in enumerate(prefix):
-            child = node.children.get(tok)
-            if child is None:
-                raise ValidationError(
-                    f"prefix {list(prefix)!r} leaves the trie at position {depth}"
-                )
-            node = child
         return node
 
     def valid_next_tokens(self, prefix) -> set:
         """Child token ids at the prefix's node (decoder never leaves the trie)."""
-        return set(self._node_at(prefix).children)
+        return set(np.flatnonzero(self.child[self._node_at(prefix)] >= 0).tolist())
 
     def item_of(self, tokens) -> int:
         """Item id at the terminal reached by `tokens` (which must end in EOS)."""
-        node = self._node_at(tokens)
-        if node.item_id is None:
+        item = int(self.item[self._node_at(tokens)])
+        if item < 0:
             raise ValidationError(f"token sequence {list(tokens)!r} is not a full catalog item")
-        return node.item_id
-
-    def contains_prefix(self, prefix) -> bool:
-        try:
-            self._node_at(prefix)
-            return True
-        except ValidationError:
-            return False
+        return item
 
     def n_items(self) -> int:
-        return self._n_items
+        return len(self._items)
 
     def max_item_length(self) -> int:
-        return self._max_item_length
-
-    def internal_prefixes(self) -> list[list[tuple]]:
-        """Prefixes of the nodes that have children, one list per depth,
-        the root's empty prefix first (computed once, then shared)."""
-        if self._internal_prefixes is None:
-            levels = []
-            frontier = [((), self._root)]
-            while frontier:
-                levels.append([prefix for prefix, _ in frontier])
-                frontier = [(prefix + (tok,), child) for prefix, node in frontier
-                            for tok, child in node.children.items() if child.children]
-            self._internal_prefixes = levels
-        return self._internal_prefixes
+        return int(self.depth[-1])
 
     def all_paths(self) -> list[tuple[tuple, int]]:
         """Every root-to-terminal path with its item id (catalog reconstruction)."""
-        out = []
-        stack = [(self._root, ())]
-        while stack:
-            node, path = stack.pop()
-            if node.item_id is not None:
-                out.append((path, node.item_id))
-            for tok, child in node.children.items():
-                stack.append((child, path + (tok,)))
-        return sorted(out, key=lambda p: p[1])
+        return sorted(self._items.items(), key=lambda p: p[1])
 
     def valid_mask_walk(self, target, vocab_size: int) -> np.ndarray:
         """(len(target), vocab_size) boolean masks of valid next tokens along a
         target path, step t masking the children of target[:t]."""
         masks = np.zeros((len(target), vocab_size), dtype=bool)
-        node = self._root
+        node = 0
         for t, tok in enumerate(target):
-            for child in node.children:
-                masks[t, child] = True
-            nxt = node.children.get(tok)
-            if nxt is None:
+            masks[t, :self.child.shape[1]] = self.child[node] >= 0
+            node = self.child[node, tok] if tok < self.child.shape[1] else -1
+            if node < 0:
                 raise ValidationError(
                     f"target {list(target)!r} leaves the trie at step {t}"
                 )
-            node = nxt
         return masks
 
 

@@ -1,28 +1,39 @@
 """Trie-constrained beam search with a full pruning trace, plus the
 exhaustive-ranking oracle it is checked against.
 
-Scores are sums of floored per-token log probabilities accumulated left to
-right, exactly the floats `SequenceModel.sequence_log_prob` produces, so with
-a beam at least as wide as the catalog the beam ranking and the exhaustive
-ranking agree bit for bit.
+`search` runs many prompts in lockstep on the trie's arrays (`PrefixTrie.child`): each step
+gathers the children of every open beam, ranks each parent's local top-B
+with one `threshold_indices` call, builds all expansions with `np.nonzero`
+and keeps B per prompt with one `np.lexsort`; `beam_search` is the
+one-prompt case. Scoring stays per prompt (one `extend` per step, or rows of
+a `score_table` by trie node). Only per-step arrays are kept; a trace's
+`steps` are built from them when first read.
+
+Scores are sums of floored per-token log probabilities (`math.log`; `np.log`
+can differ in the last bit) accumulated left to right, the floats
+`SequenceModel.sequence_log_prob` produces. The oracle sums the same floats
+once per trie edge, so with a beam at least as wide as the catalog the beam
+and exhaustive rankings agree bit for bit.
 
 Tie-breaking everywhere: score descending, then token id ascending, then
 parent beam index ascending. Finished hypotheses stay in the candidate pool,
-competing on their final score, and are never expanded; search stops when
-every candidate is finished or the step budget runs out.
+competing on their final score, and are never expanded; a prompt's search
+stops when every candidate is finished or the step budget runs out.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import PROB_FLOOR
 from .catalog import EOS_ID, PrefixTrie
 from .errors import ValidationError
-from .objectives import top_b_threshold
+from .objectives import threshold_indices
 
 
 @dataclass(frozen=True)
@@ -89,9 +100,13 @@ class BeamTrace:
     beam_width: int
     constrained: bool
     length_normalization: bool
-    steps: list[BeamStep] = field(default_factory=list)
     finals: list[Hypothesis] = field(default_factory=list)
     discarded_unfinished: int = 0
+    build_steps: object = field(default=list, repr=False)  # called on first read
+
+    @cached_property
+    def steps(self) -> list[BeamStep]:
+        return self.build_steps()
 
     def to_json(self) -> dict:
         return {
@@ -110,52 +125,62 @@ class BeamTrace:
             fh.write("\n")
 
 
-SCORERS = ("exact", "batched")
+def _logs(probs) -> np.ndarray:
+    """Floored natural logs, one `math.log` each."""
+    return np.array([math.log(p) for p in np.maximum(probs, PROB_FLOOR).tolist()],
+                    dtype=np.float64)
 
 
 class PrefixScores:
-    """Next-token distributions after one prompt, memoized by generated
-    prefix and computed with the model's `prefill`/`extend` scorer.
+    """Next-token distributions after one prompt from the model's
+    `prefill`/`extend` scorer. `rows[n]` is the distribution after scorer
+    node n (node 0 is the prompt) and `node_of[t]` the scorer node of node t
+    of `trie`, -1 while unscored. Every row is bit-identical to
+    `model.next_token_distribution` of the prompt plus the node's tokens."""
 
-    `distributions` scores every prefix it has not seen in one `extend`.
-    Every row is bit-identical to `model.next_token_distribution` of the
-    prompt plus the prefix.
-    """
-
-    def __init__(self, model, prompt):
+    def __init__(self, model, prompt, trie: PrefixTrie):
         self.prompt = tuple(int(t) for t in prompt)
+        self.trie = trie
         self._model = model
         self._state, root = model.prefill(self.prompt)
-        self._nodes = {(): (0, root)}   # prefix -> (scorer node id, distribution)
+        self._blocks = [root[None]]
+        self.node_of = np.full(len(trie.item), -1)
+        self.node_of[0] = 0
 
-    def distributions(self, prefixes) -> list[np.ndarray]:
-        """Distributions after each prefix. The ones not scored yet must
-        share one length and have scored parents."""
-        missing = [p for p in dict.fromkeys(prefixes) if p not in self._nodes]
-        if missing:
-            ids, dists = self._model.extend(self._state,
-                                            [self._nodes[p[:-1]][0] for p in missing],
-                                            [p[-1] for p in missing])
-            for prefix, node, dist in zip(missing, ids, dists):
-                self._nodes[prefix] = (node, dist)
-        return [self._nodes[p][1] for p in prefixes]
+    def extend(self, parents, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """Score `tokens[i]` after scorer node `parents[i]`, all parents of
+        one length, in one `extend`; returns the new nodes and their rows."""
+        ids, dists = self._model.extend(self._state, parents, tokens)
+        self._blocks.append(np.asarray(dists))
+        return np.asarray(ids), self._blocks[-1]
 
-    def log_prob(self, tokens) -> float:
-        """Floored step log probabilities of `tokens` summed left to right:
-        the floats beam search accumulates for the same path."""
-        total = 0.0
-        for t, tok in enumerate(tokens):
-            dist = self._nodes[tuple(tokens[:t])][1]
-            total += math.log(max(float(dist[tok]), PROB_FLOOR))
-        return total
+    @property
+    def rows(self) -> np.ndarray:
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks)]
+        return self._blocks[0]
+
+    def path_scores(self) -> np.ndarray:
+        """Every trie node's path score: its parent's plus the floored log
+        probability of its token, the floats beam search accumulates. Needs
+        every internal node scored (`score_table`)."""
+        trie = self.trie
+        logs = _logs(self.rows[self.node_of[trie.parent[1:]], trie.token[1:]])
+        scores = np.zeros(len(trie.item))
+        for lo, hi in zip(trie.levels[1:-1], trie.levels[2:]):
+            scores[lo:hi] = scores[trie.parent[lo:hi]] + logs[lo - 1:hi - 1]
+        return scores
 
 
 def score_table(model, prompt, trie: PrefixTrie) -> PrefixScores:
     """Distributions at every internal node of `trie` after `prompt`, one
     `extend` per depth, for beam search and the oracle to share."""
-    table = PrefixScores(model, prompt)
-    for level in trie.internal_prefixes()[1:]:
-        table.distributions(level)
+    table = PrefixScores(model, prompt, trie)
+    internal = np.flatnonzero((trie.child >= 0).any(axis=1))
+    for nodes in np.split(internal, np.searchsorted(internal, trie.levels[1:-1]))[1:]:
+        if len(nodes):
+            table.node_of[nodes] = table.extend(table.node_of[trie.parent[nodes]],
+                                                trie.token[nodes])[0]
     return table
 
 
@@ -163,19 +188,44 @@ def _cmp_score(log_prob: float, n_tokens: int, normalized: bool) -> float:
     return log_prob / max(1, n_tokens) if normalized else log_prob
 
 
-def beam_search(model, prompt, trie: PrefixTrie, config: DecodeConfig,
-                scorer: str = "exact",
-                table: PrefixScores | None = None) -> tuple[list[Hypothesis], BeamTrace]:
-    """Beam search over the trie from `prompt`.
+class _Beams(NamedTuple):
+    """The hypotheses of the prompts still searching, by prompt in beam order."""
 
-    Returns the finished hypotheses ranked by raw overall log probability
-    (ties by item id) and the full per-step trace. Each step scores its open
-    beams with one `extend`, unless `table` (a `score_table` for this prompt)
-    already holds them. Both `scorer` values name that one scorer; the
-    argument is kept for callers that pass it.
-    """
-    if scorer not in SCORERS:
-        raise ValidationError(f"unknown scorer {scorer!r}")
+    inst: np.ndarray     # prompt index
+    score: np.ndarray    # raw log probability
+    length: np.ndarray   # tokens generated
+    last: np.ndarray     # last token, -1 at the root; EOS once finished
+    tnode: np.ndarray    # trie node, -1 once off the trie
+    parent: np.ndarray   # scorer node of the prefix without the last token
+    toks: np.ndarray     # (n, max_steps) tokens, -1 past `length`
+
+    def take(self, rows) -> "_Beams":
+        return _Beams(*(col[rows] for col in self))
+
+
+class _Step(NamedTuple):
+    """One step's candidates: expansions, then carryovers, each by prompt."""
+
+    inst: np.ndarray
+    src: np.ndarray       # parent (expansion) or own (carryover) beam index
+    tok: np.ndarray       # token added, -1 for a carryover
+    score: np.ndarray     # raw log score
+    tnode: np.ndarray
+    beta: np.ndarray      # the parent's log local top-B threshold
+    violated: np.ndarray  # step log probability below `beta`
+    order: np.ndarray     # tie order, grouped by prompt
+
+
+class Search(NamedTuple):
+    results: list         # (finals, trace) per prompt
+    steps: list           # _Step records; a prompt takes part in a prefix of them
+
+
+def search(model, prompts, trie: PrefixTrie, config: DecodeConfig,
+           tables=None) -> Search:
+    """Beam search from every prompt at once: `results[i]` is what
+    `beam_search` returns for `prompts[i]`. `tables` may give each prompt's
+    `score_table`."""
     if trie.n_items() < 1:
         raise ValidationError("trie has no items")
     b = config.beam_width
@@ -186,122 +236,180 @@ def beam_search(model, prompt, trie: PrefixTrie, config: DecodeConfig,
             f"max_steps {max_steps} cannot reach the longest item "
             f"(needs >= {min_steps})"
         )
-    prompt = tuple(int(t) for t in prompt)
-    if table is None:
-        table = PrefixScores(model, prompt)
-    elif table.prompt != prompt:
-        raise ValidationError("score table belongs to a different prompt")
-
-    trace = BeamTrace(prompt=prompt, beam_width=b, constrained=config.constrained,
-                      length_normalization=config.length_normalization)
-    beams = [Hypothesis(tokens=(), log_prob=0.0, finished=False, item_id=None)]
-
-    for step in range(1, max_steps + 1):
-        if all(h.finished for h in beams):
+    prompts = [tuple(int(t) for t in p) for p in prompts]
+    if tables is None:
+        tables = [PrefixScores(model, p, trie) for p in prompts]
+    elif any(table.prompt != p or table.trie is not trie for table, p in zip(tables, prompts)):
+        raise ValidationError("score table belongs to a different prompt or trie")
+    n = len(prompts)
+    known = np.stack([table.node_of for table in tables])  # scorer node by trie node
+    zero = np.zeros(n, dtype=np.int64)
+    beams = _Beams(np.arange(n), np.zeros(n), zero, zero - 1, zero, zero,
+                   np.full((n, max_steps), -1))
+    steps, results = [], [None] * n
+    for step in range(1, max_steps + 2):
+        # retire the prompts with no open beam (all of them after the last step)
+        searching = np.zeros(n, dtype=bool)
+        if step <= max_steps:
+            searching[beams.inst[beams.last != EOS_ID]] = True
+        for i in np.unique(beams.inst[~searching[beams.inst]]).tolist():
+            mine = beams.take(beams.inst == i)
+            fin = mine.last == EOS_ID
+            items = np.where(mine.tnode[fin] >= 0, trie.item[mine.tnode[fin]], -1)
+            finals = [Hypothesis(tuple(row[:k]), s, True, None if item < 0 else item)
+                      for row, k, s, item in zip(*(col.tolist() for col in (
+                          mine.toks[fin], mine.length[fin], mine.score[fin], items)))]
+            finals.sort(key=lambda h: (-_cmp_score(h.log_prob, len(h.tokens),
+                                                   config.length_normalization),
+                                       h.item_id if h.item_id is not None else len(h.tokens),
+                                       h.tokens))
+            results[i] = (finals, BeamTrace(prompts[i], b, config.constrained,
+                                            config.length_normalization, finals,
+                                            int((~fin).sum()), partial(_trace_steps, steps, i, b)))
+        beams = beams.take(searching[beams.inst])
+        if not len(beams.inst):
             break
-        open_parents = [(i, h) for i, h in enumerate(beams) if not h.finished]
-        dists = table.distributions([h.tokens for _, h in open_parents])
-        dist_of_parent = {i: d for (i, _), d in zip(open_parents, dists)}
-
-        expansions: list[Expansion] = []
-        parent_thresholds: dict[int, float] = {}
-        for (parent, hyp), dist in zip(open_parents, dists):
-            if config.constrained:
-                valid = sorted(trie.valid_next_tokens(hyp.tokens))
+        # score the open beams: table rows, or one extend per prompt
+        o = np.flatnonzero(beams.last != EOS_ID)
+        snode = np.where(beams.tnode[o] >= 0, known[beams.inst[o], beams.tnode[o]], -1)
+        cut = np.flatnonzero(np.diff(beams.inst[o])) + 1
+        dists = []
+        for i, rows, parent, last in zip(beams.inst[o[np.r_[0, cut]]].tolist(),
+                                         np.split(np.arange(len(o)), cut),
+                                         np.split(beams.parent[o], cut),
+                                         np.split(beams.last[o], cut)):
+            new = snode[rows] < 0
+            if new.all():  # the usual case without a table: use the block as scored
+                snode[rows], block = tables[i].extend(parent, last)
             else:
-                valid = range(len(dist))
-            mask = np.zeros(len(dist), dtype=bool)
-            mask[list(valid)] = True
-            beta = top_b_threshold(dist, b, mask)
-            parent_thresholds[parent] = math.log(max(beta, PROB_FLOOR))
-            for tok in valid:
-                step_lp = math.log(max(float(dist[tok]), PROB_FLOOR))
-                expansions.append(Expansion(tokens=hyp.tokens + (tok,), token=tok,
-                                            parent=parent, log_score=hyp.log_prob + step_lp))
+                if new.any():
+                    snode[rows[new]] = tables[i].extend(parent[new], last[new])[0]
+                block = tables[i].rows[snode[rows]]
+            dists.append(block)
+        dists = np.concatenate(dists)
 
-        # candidate pool: new expansions plus finished carryovers
-        pool: list[tuple] = []  # (cmp, token, parent, kind, payload)
-        for e in expansions:
-            cmp_val = _cmp_score(e.log_score, len(e.tokens), config.length_normalization)
-            pool.append((-cmp_val, e.token, e.parent, "expansion", e))
-        for parent, hyp in enumerate(beams):
-            if hyp.finished:
-                cmp_val = _cmp_score(hyp.log_prob, len(hyp.tokens), config.length_normalization)
-                pool.append((-cmp_val, hyp.tokens[-1], parent, "carryover", hyp))
-        pool.sort(key=lambda entry: entry[:3])
+        kids = np.full(dists.shape, -1)
+        on = beams.tnode[o] >= 0
+        kids[on, :trie.child.shape[1]] = trie.child[beams.tnode[o[on]]]
+        valid = kids >= 0 if config.constrained else np.ones(dists.shape, dtype=bool)
+        log_beta = _logs(dists[np.arange(len(o)), threshold_indices(dists, b, valid)])
+        r, t = np.nonzero(valid)
+        step_lp = _logs(dists[r, t])
 
-        survivors = pool[:b]
-        pruned = pool[b:]
-        bth_log_score = _raw_log(pool[min(b, len(pool)) - 1])
-
-        new_beams: list[Hypothesis] = []
-        survivor_records = []
-        for entry in survivors:
-            kind, payload = entry[3], entry[4]
-            if kind == "carryover":
-                new_beams.append(payload)
-                survivor_records.append((payload.tokens, payload.log_prob, True))
-                continue
-            finished = payload.token == EOS_ID
-            item_id = None
-            if finished:
-                try:
-                    item_id = trie.item_of(payload.tokens)
-                except ValidationError:
-                    item_id = None
-            new_beams.append(Hypothesis(tokens=payload.tokens, log_prob=payload.log_score,
-                                        finished=finished, item_id=item_id))
-            survivor_records.append((payload.tokens, payload.log_score, finished))
-
-        pruned_records = []
-        for entry in pruned:
-            kind, payload = entry[3], entry[4]
-            if kind == "carryover":
-                pruned_records.append((payload.tokens, payload.log_prob,
-                                       PruningCause.GLOBAL_PRUNED))
-                continue
-            # last token strictly below the parent's local top-B threshold?
-            parent_dist = dist_of_parent[payload.parent]
-            step_lp = math.log(max(float(parent_dist[payload.token]), PROB_FLOOR))
-            violated = step_lp < parent_thresholds[payload.parent]
-            cause = (PruningCause.NECESSARY_VIOLATION if violated
-                     else PruningCause.GLOBAL_PRUNED)
-            pruned_records.append((payload.tokens, payload.log_score, cause))
-
-        trace.steps.append(BeamStep(step=step, expansions=expansions,
-                                    carryovers=[(h.tokens, h.log_prob)
-                                                for h in beams if h.finished],
-                                    survivors=survivor_records,
-                                    bth_log_score=bth_log_score,
-                                    parent_thresholds=parent_thresholds,
-                                    pruned=pruned_records))
-        beams = new_beams
-
-    finals = [h for h in beams if h.finished]
-    trace.discarded_unfinished = len(beams) - len(finals)
-    finals.sort(key=lambda h: (-_cmp_score(h.log_prob, len(h.tokens),
-                                           config.length_normalization),
-                               h.item_id if h.item_id is not None else len(h.tokens),
-                               h.tokens))
-    trace.finals = finals
-    return finals, trace
+        # candidate pool: expansions, then finished carryovers; keep B per prompt
+        c = np.flatnonzero(beams.last == EOS_ID)
+        src = np.concatenate([o[r], c])
+        tok = np.concatenate([t, np.full(len(c), -1)])
+        score = np.concatenate([beams.score[o[r]] + step_lp, beams.score[c]])
+        length = beams.length[src] + (tok >= 0)
+        inst = beams.inst[src]
+        cmp = score / np.maximum(length, 1) if config.length_normalization else score
+        order = np.lexsort((src, np.where(tok >= 0, tok, EOS_ID), -cmp, inst))
+        ranked = inst[order]
+        keep = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < b]
+        tnode = np.concatenate([kids[r, t], beams.tnode[c]])
+        steps.append(_Step(inst, src - np.searchsorted(beams.inst, inst), tok, score, tnode,
+                           np.concatenate([log_beta[r], np.full(len(c), np.nan)]),
+                           np.concatenate([step_lp < log_beta[r], np.zeros(len(c), bool)]),
+                           order))
+        added = tok[keep] >= 0
+        toks = beams.toks[src[keep]]
+        toks[added, step - 1] = tok[keep][added]
+        beams = _Beams(inst[keep], score[keep], length[keep],
+                       np.where(added, tok[keep], EOS_ID), tnode[keep],
+                       np.concatenate([snode[r], beams.parent[c]])[keep], toks)
+    return Search(results, steps)
 
 
-def _raw_log(pool_entry) -> float:
-    payload = pool_entry[4]
-    return payload.log_score if pool_entry[3] == "expansion" else payload.log_prob
+def _trace_steps(steps, i, b) -> list[BeamStep]:
+    """Prompt i's per-step records, rebuilt from the search's arrays."""
+    out, beams = [], [()]
+    for number, rec in enumerate(steps, start=1):
+        mine = np.flatnonzero(rec.inst == i)
+        if not len(mine):
+            break
+        src, tok, score, beta, violated = (col[mine].tolist() for col in (
+            rec.src, rec.tok, rec.score, rec.beta, rec.violated))
+        tokens = [beams[s] + (t,) if t >= 0 else beams[s] for s, t in zip(src, tok)]
+        ranked = np.searchsorted(mine, rec.order[rec.inst[rec.order] == i]).tolist()
+        grown = [k for k in range(len(mine)) if tok[k] >= 0]
+        out.append(BeamStep(
+            step=number,
+            expansions=[Expansion(tokens[k], tok[k], src[k], score[k]) for k in grown],
+            carryovers=[(tokens[k], score[k]) for k in range(len(mine)) if tok[k] < 0],
+            survivors=[(tokens[k], score[k], tok[k] in (-1, EOS_ID)) for k in ranked[:b]],
+            bth_log_score=score[ranked[min(b, len(ranked)) - 1]],
+            parent_thresholds={src[k]: beta[k] for k in grown},
+            pruned=[(tokens[k], score[k], PruningCause.NECESSARY_VIOLATION if violated[k]
+                     else PruningCause.GLOBAL_PRUNED) for k in ranked[b:]]))
+        beams = [tokens[k] for k in ranked[:b]]
+    return out
+
+
+def beam_search(model, prompt, trie: PrefixTrie, config: DecodeConfig,
+                scorer: str = "exact",
+                table: PrefixScores | None = None) -> tuple[list[Hypothesis], BeamTrace]:
+    """Beam search over the trie from `prompt`: `search` with one prompt.
+
+    Returns the finished hypotheses ranked by raw overall log probability
+    (ties by item id) and the full per-step trace. `table` may pass in a
+    `score_table` for this prompt. Both `scorer` values name the one scorer;
+    the argument is kept for callers that pass it.
+    """
+    if scorer not in ("exact", "batched"):
+        raise ValidationError(f"unknown scorer {scorer!r}")
+    return search(model, [prompt], trie, config,
+                  None if table is None else [table]).results[0]
+
+
+def prefix_thresholds(found: Search, trie: PrefixTrie, targets, prefix_scores,
+                      b: int) -> list[list[float]]:
+    """Prefix-ref thresholds of each prompt's positive `targets[i]`, a
+    catalog item with cumulative log scores `prefix_scores[i]`. At target
+    step s: the B-th best log score among that step's candidates other than
+    the positive prefix, joined by the prefix's own score; past the end of
+    the prompt's search, among its finals and the prefix's score."""
+    n, longest = len(targets), max(len(t) for t in targets)
+    toks, cums = np.zeros((n, longest), dtype=np.int64), np.zeros((n, longest))
+    for i, (target, cum) in enumerate(zip(targets, prefix_scores)):
+        trie.item_of(target)  # raises unless a catalog item
+        toks[i, :len(target)], cums[i, :len(target)] = target, cum
+    lengths = np.array([len(t) for t in targets])
+    child, node, out = trie.child, np.zeros(n, dtype=np.int64), [[] for _ in range(n)]
+    for s in range(longest):
+        need = np.flatnonzero(lengths > s)
+        node = child[node, toks[:, s]]   # the positive prefix's trie node
+        keys, vals = [need], [cums[need, s]]
+        rec = found.steps[s] if s < len(found.steps) else None
+        if rec is not None:
+            other = rec.tnode != node[rec.inst]
+            keys.append(rec.inst[other])
+            vals.append(rec.score[other])
+        for i in need[~np.isin(need, [] if rec is None else rec.inst)].tolist():
+            keys.append(np.full(len(found.results[i][0]), i))
+            vals.append(np.array([h.log_prob for h in found.results[i][0]], dtype=np.float64))
+        keys, vals = np.concatenate(keys), np.concatenate(vals)
+        order = np.lexsort((-vals, keys))
+        start = np.searchsorted(keys[order], need)
+        count = np.searchsorted(keys[order], need, side="right") - start
+        for i, value in zip(need.tolist(), vals[order][start + np.minimum(b, count) - 1].tolist()):
+            out[i].append(value)
+    return out
 
 
 def exhaustive_rank(model, prompt, items,
                     table: PrefixScores | None = None) -> list[tuple[int, float]]:
     """Score every catalog item's full sequence; sort by score descending,
-    ties by item id. `table` may pass in this prompt's `score_table`;
-    without one, a table over the items' own trie is built."""
+    ties by item id. `table` may pass in this prompt's `score_table` over
+    the items' trie; without one, a table over the items' own trie is built."""
     if table is None:
         table = score_table(model, prompt, PrefixTrie.from_items(items))
     elif table.prompt != tuple(int(t) for t in prompt):
         raise ValidationError("score table belongs to a different prompt")
-    scored = [(item.item_id, table.log_prob(item.token_ids)) for item in items]
+    terminals = np.flatnonzero(table.trie.item >= 0)
+    score_of = dict(zip(table.trie.item[terminals].tolist(),
+                        table.path_scores()[terminals].tolist()))
+    scored = [(item.item_id, score_of[item.item_id]) for item in items]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored
 

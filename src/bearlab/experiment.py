@@ -22,12 +22,12 @@ from . import data as datamod
 from .autodiff import ParameterStore
 from .catalog import PrefixTrie, Vocabulary, build_catalog, load_catalog_csv
 from .decode import (DecodeConfig, beam_search, classify_positive, exhaustive_rank,
-                     score_table)
+                     prefix_thresholds, score_table, search)
 from .errors import DivergenceError, ValidationError
 from .metrics import (EvalResult, ExperimentReport, aggregate_report,
                       dump_report_csv)
 from .model import ModelConfig, SequenceModel
-from .objectives import (HyperParams, prefix_objective_reference,
+from .objectives import (HyperParams, prefix_log_scores, prefix_objective_reference,
                          threshold_indices)
 
 OBJECTIVES = ("sft", "bear", "prefix-ref")
@@ -331,13 +331,19 @@ def _batch_loss(model: SequenceModel, batch, objective: str, hp: HyperParams,
         reg_vec = ad.reshape(ad.matmul(seg, ad.reshape(terms, (total_steps, 1))),
                              (len(batch),))
         total_vec = ad.add(sft_vec, ad.multiply(reg_vec, tape.constant(hp.lam)))
-    else:  # prefix-ref
+    else:  # prefix-ref: one lockstep simulation for the batch, then frozen thresholds
         sim_config = replace(decode_config, beam_width=hp.beam_width)
+        found = search(model, [inst.prompt for inst in batch], bundle.trie, sim_config)
+        thresholds = prefix_thresholds(
+            found, bundle.trie, [inst.target for inst in batch],
+            [prefix_log_scores(node.value, inst.target) for inst, node in zip(batch, nodes)],
+            hp.beam_width)
         regs = []
-        for inst, node in zip(batch, nodes):
+        for inst, node, frozen in zip(batch, nodes, thresholds):
             reg, _ = prefix_objective_reference(tape, model, inst.prompt,
                                                 inst.target, hp, bundle.trie,
-                                                sim_config, dists=node)
+                                                sim_config, frozen_thresholds=frozen,
+                                                dists=node)
             regs.append(ad.reshape(reg, (1,)))
         reg_vec = ad.concatenate(regs, axis=0) if len(regs) > 1 else regs[0]
         total_vec = ad.add(sft_vec, ad.multiply(reg_vec, tape.constant(hp.lam)))
@@ -348,12 +354,12 @@ def _batch_loss(model: SequenceModel, batch, objective: str, hp: HyperParams,
 
 def validation_ndcg10(model: SequenceModel, bundle: DatasetBundle,
                       decode_config: DecodeConfig, instances) -> float:
-    """Mean NDCG@10 over instances, beam candidates ranked by raw log prob."""
+    """Mean NDCG@10 over instances (one lockstep search), finals ranked by raw log prob."""
     if not instances:
         raise ValidationError("validation split is empty")
+    found = search(model, [inst.prompt for inst in instances], bundle.trie, decode_config)
     total = 0.0
-    for inst in instances:
-        finals, _ = beam_search(model, inst.prompt, bundle.trie, decode_config)
+    for inst, (finals, _) in zip(instances, found.results):
         for rank, hyp in enumerate(finals[:10], start=1):
             if hyp.item_id == inst.positive_item:
                 total += 1.0 / np.log2(rank + 1)

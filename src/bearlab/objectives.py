@@ -94,23 +94,8 @@ def sft_loss(dists: ad.Node, targets) -> ad.Node:
     return ad.multiply(ad.reduce_sum(logs), dists.tape.constant(-1.0))
 
 
-def top_b_threshold(dist: np.ndarray, b: int, valid_mask) -> float:
-    """B-th highest probability among masked tokens (stable tie order);
-    smallest masked probability when fewer than b tokens are valid."""
-    dist = np.asarray(dist, dtype=np.float64)
-    mask = np.asarray(valid_mask, dtype=bool)
-    if mask.shape != dist.shape:
-        raise ValidationError(f"mask shape {mask.shape} does not match {dist.shape}")
-    n_valid = int(mask.sum())
-    if n_valid == 0:
-        raise ValidationError("valid mask selects no tokens")
-    masked = np.where(mask, dist, -1.0)
-    order = np.argsort(-masked, kind="stable")
-    return float(masked[order[min(b, n_valid) - 1]])
-
-
 def threshold_indices(values: np.ndarray, b: int, masks: np.ndarray) -> np.ndarray:
-    """Vectorized top_b_threshold: index of the B-th valid token per row."""
+    """Index of the B-th highest masked value per row, stable ties; the lowest if fewer."""
     masks = np.asarray(masks, dtype=bool)
     if masks.shape != values.shape:
         raise ValidationError(f"masks shape {masks.shape} does not match {values.shape}")
@@ -208,6 +193,14 @@ def sigma_xi(delta, xi: float):
     return out if out.ndim else float(out)
 
 
+def prefix_log_scores(values: np.ndarray, target) -> np.ndarray:
+    """Cumulative log scores of the target's prefixes from its (steps, V) rows,
+    with the arithmetic `prefix_objective_reference` records on its tape."""
+    n = len(target)
+    logs = np.log(np.maximum(values[np.arange(n), np.asarray(target)], PROB_FLOOR))
+    return np.matmul(np.tril(np.ones((n, n))), logs.reshape(n, 1)).reshape(n)
+
+
 def prefix_objective_reference(tape: ad.Tape, model, prompt, target,
                                hp: HyperParams, trie, config,
                                frozen_thresholds: list[float] | None = None,
@@ -223,7 +216,7 @@ def prefix_objective_reference(tape: ad.Tape, model, prompt, target,
     `dists` may pass in this instance's already-computed teacher-forced
     distribution rows to avoid a second forward pass.
     """
-    from .decode import beam_search  # local import; decode imports this module
+    from .decode import prefix_thresholds, search  # decode imports this module
 
     target = list(target)
     if len(target) == 0 or target[-1] != EOS_ID:
@@ -235,31 +228,13 @@ def prefix_objective_reference(tape: ad.Tape, model, prompt, target,
     step_logs = ad.logarithm(picked, clamp=True)
     lower = tape.constant(np.tril(np.ones((len(target), len(target)))))
     cum = ad.reshape(ad.matmul(lower, ad.reshape(step_logs, (len(target), 1))),
-                     (len(target),))
+                     (len(target),))  # prefix_log_scores, on the tape
 
     if frozen_thresholds is None:
-        finals, trace = beam_search(model, prompt, trie, config)
-        thresholds = []
-        positive_prefix_scores = cum.value
-        for s, record in enumerate(trace.steps[: len(target)]):
-            prefix = tuple(target[: s + 1])
-            pool = []
-            for exp in record.expansions:
-                if exp.tokens != prefix:
-                    pool.append(exp.log_score)
-            for tokens, log_score in record.carryovers:
-                if tokens != prefix:
-                    pool.append(log_score)
-            pool.append(float(positive_prefix_scores[s]))
-            pool.sort(reverse=True)
-            thresholds.append(pool[min(hp.beam_width, len(pool)) - 1])
-        # Steps past the trace (search ended early) compare the finished
-        # positive against the final candidate set.
-        while len(thresholds) < len(target):
-            pool = sorted((h.log_prob for h in finals), reverse=True)
-            pool.append(float(cum.value[len(thresholds)]))
-            pool.sort(reverse=True)
-            thresholds.append(pool[min(hp.beam_width, len(pool)) - 1])
+        found = search(model, [prompt], trie, config)
+        thresholds = prefix_thresholds(found, trie, [target], [cum.value],
+                                       hp.beam_width)[0]
+        trace = found.results[0][1]
     else:
         trace = None
         thresholds = list(frozen_thresholds)

@@ -102,6 +102,27 @@ def test_every_item_walk_never_rejects():
         assert trie.item_of(prefix) == item.item_id
 
 
+def test_trie_arrays_are_breadth_first_and_consistent():
+    rng = np.random.default_rng(5)
+    titles = sorted({"".join(rng.choice(list("abcd"), size=rng.integers(1, 6)))
+                     for _ in range(60)})
+    vocab, items, trie = cat.build_catalog(titles)
+    assert np.all(np.diff(trie.depth) >= 0) and trie.levels[-1] == len(trie.item)
+    paths = {0: ()}
+    for node in range(1, len(trie.item)):
+        paths[node] = paths[trie.parent[node]] + (int(trie.token[node]),)
+        assert trie.depth[node] == len(paths[node])
+        assert trie.child[trie.parent[node], trie.token[node]] == node
+    assert sorted(paths.values(), key=lambda p: (len(p), p)) == list(paths.values())
+    assert len(set(paths.values())) == len(paths)
+    for node, path in paths.items():
+        assert np.count_nonzero(trie.child[node] >= 0) == len(trie.valid_next_tokens(path))
+        assert trie.item[node] == (trie.item_of(path) if path and path[-1] == EOS_ID else -1)
+    assert {paths[n]: int(trie.item[n]) for n in np.flatnonzero(trie.item >= 0)} == {
+        item.token_ids: item.item_id for item in items}
+    assert trie.max_item_length() == max(len(item.token_ids) for item in items)
+
+
 def test_trie_paths_reconstruct_catalog_exactly():
     titles = ["ab", "ac", "b", "bca"]
     vocab, items, trie = cat.build_catalog(titles)

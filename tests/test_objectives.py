@@ -82,16 +82,16 @@ def test_sft_single_descent_step_reduces_loss():
 # ---------------------------------------------------------------------------
 
 
-def test_top_b_threshold_cases():
-    full = np.ones(3, dtype=bool)
-    assert obj.top_b_threshold([0.5, 0.3, 0.2], 2, full) == 0.3
-    assert obj.top_b_threshold([0.4, 0.4, 0.2], 2, full) == 0.4
-    masked = np.array([False, True, True])
-    assert obj.top_b_threshold([0.5, 0.3, 0.2], 1, masked) == 0.3
-    # fewer valid tokens than B: smallest masked probability
-    assert obj.top_b_threshold([0.5, 0.3, 0.2], 5, full) == 0.2
+def test_threshold_indices_cases():
+    values = np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
+    masks = np.ones((4, 3), dtype=bool)
+    masks[2, 0] = False
+    assert obj.threshold_indices(values[:2], 2, masks[:2]).tolist() == [1, 1]  # 0.3; tied 0.4
+    assert obj.threshold_indices(values[2:3], 1, masks[2:3]).tolist() == [1]   # masked 0.5
+    # fewer valid tokens than B: the smallest masked probability
+    assert obj.threshold_indices(values[3:], 5, masks[3:]).tolist() == [2]
     with pytest.raises(ValidationError):
-        obj.top_b_threshold([0.5, 0.5], 1, np.zeros(2, dtype=bool))
+        obj.threshold_indices(np.array([[0.5, 0.5]]), 1, np.zeros((1, 2), dtype=bool))
 
 
 def test_necessary_condition_rank_boundary():
